@@ -171,6 +171,63 @@ impl EngineObsHooks {
     }
 }
 
+/// Orders point-cache fills against write-throughs of the same key.
+///
+/// A point read reads the tree and then fills the caches; a write writes
+/// the tree and then writes through. Left unordered, a fill carrying the
+/// old value can land after the write-through and shadow the write until
+/// the key is next written. Each slot, picked by key hash, counts the
+/// write-throughs done under its lock. A writer bumps the count while it
+/// holds the lock for its write-through. A reader samples the count before
+/// its tree read and fills, under the same lock, only if the count has not
+/// moved. So a write the read may have missed either writes through after
+/// the fill and overwrites it, or has already bumped the count and the
+/// fill is skipped. With one client thread no fill is ever skipped.
+struct FillFence {
+    slots: Box<[Mutex<u64>]>,
+}
+
+impl FillFence {
+    const SLOT_BITS: u32 = 10;
+
+    fn new() -> Self {
+        FillFence {
+            slots: (0..1 << Self::SLOT_BITS).map(|_| Mutex::new(0)).collect(),
+        }
+    }
+
+    fn slot(&self, key: &[u8]) -> &Mutex<u64> {
+        // FNV-1a; the top bits are the well-mixed ones.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in key {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        &self.slots[(h >> (64 - Self::SLOT_BITS)) as usize]
+    }
+
+    /// The slot's count, taken before the tree read a fill depends on.
+    fn version(&self, key: &[u8]) -> u64 {
+        *self.slot(key).lock()
+    }
+
+    /// Runs `fill` unless a write-through of `key` happened since
+    /// `version` was taken.
+    fn fill_if_unchanged(&self, key: &[u8], version: u64, fill: impl FnOnce()) {
+        let guard = self.slot(key).lock();
+        if *guard == version {
+            fill();
+        }
+    }
+
+    /// Runs the write-through of `key` and bumps its slot.
+    fn write_through(&self, key: &[u8], write: impl FnOnce()) {
+        let mut guard = self.slot(key).lock();
+        write();
+        *guard += 1;
+    }
+}
+
 /// An LSM-tree fronted by the configured cache strategy. The tree itself
 /// is a [`StripedDb`]: N keyspace stripes with independent write paths
 /// (one stripe, synchronous maintenance by default).
@@ -210,6 +267,7 @@ pub struct CachedDb {
     prefetcher: Option<Arc<CompactionPrefetcher>>,
     counters: Counters,
     obs: OnceLock<EngineObsHooks>,
+    fill_fence: FillFence,
 }
 
 impl CachedDb {
@@ -297,6 +355,7 @@ impl CachedDb {
             prefetcher,
             counters: Counters::default(),
             obs: OnceLock::new(),
+            fill_fence: FillFence::new(),
             cfg,
         })
     }
@@ -559,6 +618,7 @@ impl CachedDb {
         }
         part.note_miss();
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let version = self.fill_fence.version(key);
         let result = match &part.block_cache {
             Some(bc) => self.db.get(key, &bc.provider()),
             None => self.db.get(key, &DirectProvider),
@@ -574,7 +634,8 @@ impl CachedDb {
             }
         };
         if let Some(v) = &result {
-            self.fill_point_caches(part, key, v);
+            self.fill_fence
+                .fill_if_unchanged(key, version, || self.fill_point_caches(part, key, v));
         }
         Ok(result)
     }
@@ -619,6 +680,10 @@ impl CachedDb {
             .cache_misses
             .fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
         let miss_keys: Vec<&[u8]> = miss_idx.iter().map(|&i| keys[i]).collect();
+        let versions: Vec<u64> = miss_keys
+            .iter()
+            .map(|k| self.fill_fence.version(k))
+            .collect();
         let result = match &part.block_cache {
             Some(bc) => self.db.multi_get(&miss_keys, &bc.provider()),
             None => self.db.multi_get(&miss_keys, &DirectProvider),
@@ -630,9 +695,11 @@ impl CachedDb {
                 return Err(e);
             }
         };
-        for (&i, value) in miss_idx.iter().zip(values) {
+        for ((&i, version), value) in miss_idx.iter().zip(versions).zip(values) {
             if let Some(v) = &value {
-                self.fill_point_caches(part, keys[i], v);
+                self.fill_fence.fill_if_unchanged(keys[i], version, || {
+                    self.fill_point_caches(part, keys[i], v)
+                });
             }
             out[i] = value;
         }
@@ -812,6 +879,9 @@ impl CachedDb {
                     );
                 }
             }
+            // Known gap: this fill has the same shape as the point fill the
+            // `FillFence` orders (tree read, then fill), but is not fenced,
+            // so a concurrent put to a key inside `tail` can be shadowed.
             rc.insert_scan(&cont_key, &tail, admitted);
             part.publish_bytes();
         }
@@ -824,16 +894,19 @@ impl CachedDb {
 
     /// Propagates a write to every partition's result caches: tenants
     /// share one keyspace, so coherence is key-targeted and global, while
-    /// capacity pressure stays per-partition.
+    /// capacity pressure stays per-partition. The [`FillFence`] keeps a
+    /// concurrent point read from filling an older value after it.
     fn on_write_all(&self, key: &[u8], value: Option<&Value>) {
-        for part in self.all_partitions() {
-            if let Some(kv) = &part.kv_cache {
-                kv.on_write(key, value);
+        self.fill_fence.write_through(key, || {
+            for part in self.all_partitions() {
+                if let Some(kv) = &part.kv_cache {
+                    kv.on_write(key, value);
+                }
+                if let Some(rc) = &part.range_cache {
+                    rc.on_write(key, value);
+                }
             }
-            if let Some(rc) = &part.range_cache {
-                rc.on_write(key, value);
-            }
-        }
+        });
     }
 
     /// Write-through: the engine plus every result cache stay consistent.

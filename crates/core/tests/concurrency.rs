@@ -188,3 +188,67 @@ fn racing_overwrites_never_yield_torn_values() {
         h.join().expect("worker thread panicked");
     }
 }
+
+/// Regression (stale cache fill): a reader's point-cache fill must never
+/// land after a writer's write-through and shadow the write. The reader
+/// reads the tree, the writer then puts and writes through, and only then
+/// does the reader fill the old value, which stays until the key is next
+/// written. The writer here is the only one writing its keys, so after
+/// each acked put every one of them must read back exactly its last
+/// value. Readers hammer the same keys while churning a cache too small
+/// to hold them, so the keys keep missing and refilling.
+#[test]
+fn acked_put_is_never_shadowed_by_a_concurrent_fill() {
+    const HOT: u64 = 4;
+    const ROUNDS: u64 = 20_000;
+    for strategy in [Strategy::KvCache, Strategy::RangeCache] {
+        let db = CachedDb::new(
+            Options::small(),
+            Arc::new(MemStorage::new()),
+            EngineConfig::new(strategy, 4 << 10),
+        )
+        .unwrap();
+        for i in 0..512u64 {
+            db.load(render_key(i), Bytes::from(format!("seed-{i:05}")))
+                .unwrap();
+        }
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for t in 0..3u64 {
+                let (db, done) = (&db, &done);
+                s.spawn(move || {
+                    let mut i = t;
+                    while !done.load(Ordering::Relaxed) {
+                        db.get(&render_key(i % HOT)).unwrap();
+                        // A cold key evicts the hot ones now and then.
+                        db.get(&render_key(HOT + i % 500)).unwrap();
+                        i += 1;
+                    }
+                });
+            }
+            let writer = s.spawn(|| {
+                let mut last: Vec<Bytes> = (0..HOT)
+                    .map(|i| Bytes::from(format!("seed-{i:05}")))
+                    .collect();
+                for round in 0..ROUNDS {
+                    let k = (round % HOT) as usize;
+                    last[k] = Bytes::from(format!("w-{round:06}"));
+                    db.put(render_key(k as u64), last[k].clone()).unwrap();
+                    for (i, want) in last.iter().enumerate() {
+                        let got = db.get(&render_key(i as u64)).unwrap();
+                        assert_eq!(
+                            got.as_ref(),
+                            Some(want),
+                            "{strategy:?}: round {round}, key {i} read an older value than its acked put"
+                        );
+                    }
+                }
+            });
+            let result = writer.join();
+            done.store(true, Ordering::Relaxed);
+            if let Err(p) = result {
+                std::panic::resume_unwind(p);
+            }
+        });
+    }
+}

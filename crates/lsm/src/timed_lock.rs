@@ -393,14 +393,18 @@ mod tests {
     fn contended_write_measures_wait() {
         let l = Arc::new(TimedRwLock::new(0u32));
         l.set_timing(true);
+        // The barrier releases this thread only once the holder owns the
+        // lock, so the write below always contends.
+        let held = Arc::new(std::sync::Barrier::new(2));
         let holder = {
-            let l = l.clone();
+            let (l, held) = (l.clone(), held.clone());
             std::thread::spawn(move || {
                 let _g = l.write(LockPath::Flush);
+                held.wait();
                 std::thread::sleep(Duration::from_millis(10));
             })
         };
-        std::thread::sleep(Duration::from_millis(2)); // let holder acquire
+        held.wait();
         let g = l.write(LockPath::Write);
         assert!(
             g.wait_ns() >= 1_000_000,

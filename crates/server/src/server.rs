@@ -5,6 +5,14 @@
 //! no per-request locking, no cross-thread handoff on the hot path — and
 //! runs a read → parse → execute → write cycle over nonblocking sockets:
 //!
+//! - **Readiness wakeups**: a worker with nothing to do yields a bounded
+//!   number of times (staying hot for the next frame), then blocks in
+//!   `poll(2)` on its connections until one is readable or writable, or
+//!   until the nearest idle-timeout deadline. The accept loop blocks in
+//!   `poll` on the listener. Each of these threads also polls its own wake
+//!   socket, which the accept loop writes after handing it a connection
+//!   and which shutdown writes for every thread, so no thread ever sleeps
+//!   for a guessed duration.
 //! - **Pipelining**: a single `read` syscall may yield many frames; all of
 //!   them are decoded and executed before the next read, and responses are
 //!   written back strictly in request order.
@@ -38,8 +46,11 @@ use adcache_obs::{
 };
 use serde_json::Value;
 use std::collections::{BTreeMap, VecDeque};
+use std::ffi::{c_int, c_ulong};
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{mpsc, Mutex, RwLock};
@@ -231,6 +242,9 @@ struct Shared {
     /// Looked up only at bind time — connections cache the `Arc` — so
     /// the data-plane hot path never takes this lock.
     tenants: RwLock<BTreeMap<TenantId, Arc<TenantState>>>,
+    /// One per worker, indexed by worker number.
+    worker_wakers: Vec<Waker>,
+    accept_waker: Waker,
 }
 
 /// Serving-layer state shared by every connection a tenant has bound:
@@ -252,6 +266,44 @@ struct TenantBucket {
 }
 
 impl Shared {
+    fn new(db: Arc<CachedDb>, cfg: ServerConfig, workers: usize) -> std::io::Result<Self> {
+        let obs = db.obs();
+        Ok(Shared {
+            metrics: Metrics::new(&obs),
+            telemetry: obs.is_enabled(),
+            obs,
+            db,
+            cfg,
+            shutdown: AtomicBool::new(false),
+            active: AtomicU64::new(0),
+            conn_seq: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            conns_accepted: AtomicU64::new(0),
+            conns_closed: AtomicU64::new(0),
+            conns_refused: AtomicU64::new(0),
+            quota_throttled: AtomicU64::new(0),
+            tenant_throttled: AtomicU64::new(0),
+            bytes_in: AtomicU64::new(0),
+            bytes_out: AtomicU64::new(0),
+            tenants: RwLock::new(BTreeMap::new()),
+            worker_wakers: (0..workers)
+                .map(|_| Waker::new())
+                .collect::<std::io::Result<_>>()?,
+            accept_waker: Waker::new()?,
+        })
+    }
+
+    /// Starts the graceful drain: sets the flag, then wakes every thread
+    /// that may be blocked in `poll` so it observes it.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.accept_waker.wake();
+        for w in &self.worker_wakers {
+            w.wake();
+        }
+    }
+
     fn report(&self) -> ServeReport {
         ServeReport {
             requests: self.requests.load(Ordering::Relaxed),
@@ -459,28 +511,8 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let obs = db.obs();
         let workers = cfg.effective_workers();
-        let shared = Arc::new(Shared {
-            metrics: Metrics::new(&obs),
-            telemetry: obs.is_enabled(),
-            obs,
-            db,
-            cfg,
-            shutdown: AtomicBool::new(false),
-            active: AtomicU64::new(0),
-            conn_seq: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_closed: AtomicU64::new(0),
-            conns_refused: AtomicU64::new(0),
-            quota_throttled: AtomicU64::new(0),
-            tenant_throttled: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            tenants: RwLock::new(BTreeMap::new()),
-        });
+        let shared = Arc::new(Shared::new(db, cfg, workers)?);
 
         let mut threads = Vec::with_capacity(workers + 1);
         let mut senders = Vec::with_capacity(workers);
@@ -491,7 +523,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("adcache-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, &rx))?,
+                    .spawn(move || worker_loop(&shared, w, &rx))?,
             );
         }
         {
@@ -499,7 +531,7 @@ impl Server {
             threads.push(
                 std::thread::Builder::new()
                     .name("adcache-accept".to_string())
-                    .spawn(move || accept_loop(&shared, &listener, &senders))?,
+                    .spawn(move || accept_loop(&shared, &listener, senders))?,
             );
         }
         Ok(Server {
@@ -518,7 +550,7 @@ impl Server {
     /// buffered requests execute, replies flush, connections close, and
     /// the engine's memtable is flushed to the LSM before returning.
     pub fn shutdown(self) -> ServeReport {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
         self.wait()
     }
 
@@ -539,12 +571,13 @@ impl Server {
     }
 }
 
-fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[mpsc::Sender<TcpStream>]) {
+fn accept_loop(shared: &Shared, listener: &TcpListener, senders: Vec<mpsc::Sender<TcpStream>>) {
     let mut next = 0usize;
     // A worker whose channel has disconnected (panic, crash) is skipped
     // permanently; the loop only exits on shutdown or when every worker
     // is gone. One dead worker must not stop the whole server accepting.
     let mut dead = vec![false; senders.len()];
+    let mut fds = Vec::with_capacity(2);
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -572,6 +605,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[mpsc::Sender<
                     }
                     match senders[w].send(stream.take().expect("stream unclaimed")) {
                         Ok(()) => {
+                            shared.worker_wakers[w].wake();
                             next = w + 1;
                             break;
                         }
@@ -589,14 +623,40 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[mpsc::Sender<
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                fds.clear();
+                fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+                fds.push(shared.accept_waker.poll_fd());
+                wait_ready(&mut fds, None);
+                if fds[1].revents != 0 {
+                    shared.accept_waker.clear();
+                }
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => {
+                // Out of descriptors or buffers: the listener stays
+                // readable, so back off on the wake socket alone instead
+                // of spinning; shutdown still interrupts the wait.
+                fds.clear();
+                fds.push(shared.accept_waker.poll_fd());
+                wait_ready(&mut fds, Some(ACCEPT_ERROR_BACKOFF));
+                if fds[0].revents != 0 {
+                    shared.accept_waker.clear();
+                }
+            }
         }
     }
     // Dropping the senders lets each worker observe disconnection and
-    // finish its drain.
+    // finish its drain; the wake makes sure a worker blocked in `poll`
+    // sees it.
+    drop(senders);
+    for w in &shared.worker_wakers {
+        w.wake();
+    }
 }
+
+/// How long the accept loop waits after an accept error other than
+/// `WouldBlock` (e.g. `EMFILE`) before trying again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Over the connection ceiling: answer with one `Err` frame, then close.
 fn refuse(shared: &Shared, mut stream: TcpStream, active: u64) {
@@ -614,24 +674,20 @@ fn refuse(shared: &Shared, mut stream: TcpStream, active: u64) {
     let _ = stream.write_all(&frame);
 }
 
-/// Unproductive wakeups before the park delay starts escalating; below
-/// this the worker only yields, keeping sub-microsecond reaction to a
-/// burst that arrives right after a quiet tick.
+/// Unproductive wakeups spent yielding before the worker blocks in
+/// `poll`; while yielding it reacts within microseconds to a burst that
+/// arrives right after a quiet tick.
 const SPIN_YIELDS: u32 = 64;
-/// First park delay once yielding gives up.
-const PARK_MIN: Duration = Duration::from_micros(50);
-/// Park ceiling — an idle worker wakes at least this often to reap idle
-/// timeouts and observe shutdown.
-const PARK_MAX: Duration = Duration::from_millis(1);
 
-fn worker_loop(shared: &Shared, incoming: &mpsc::Receiver<TcpStream>) {
+fn worker_loop(shared: &Shared, w: usize, incoming: &mpsc::Receiver<TcpStream>) {
+    let waker = &shared.worker_wakers[w];
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; 64 << 10];
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut accept_closed = false;
-    // Adaptive spin-then-park replaces a flat 1 ms sleep-poll: a busy
-    // worker never sleeps, a recently-busy one yields (staying hot for
-    // the next frame), and only a genuinely idle one backs off to
-    // millisecond parks.
+    // A busy worker never blocks, a recently-busy one yields (staying hot
+    // for the next frame), and only a genuinely idle one blocks in `poll`
+    // until a socket it owns is ready.
     let mut idle = 0u32;
     loop {
         let draining = shared.shutdown.load(Ordering::SeqCst);
@@ -694,12 +750,119 @@ fn worker_loop(shared: &Shared, incoming: &mpsc::Receiver<TcpStream>) {
             if idle <= SPIN_YIELDS {
                 std::thread::yield_now();
             } else {
-                // 50 µs doubling to the 1 ms ceiling.
-                let exp = (idle - SPIN_YIELDS - 1).min(10);
-                let park = PARK_MIN.saturating_mul(1 << exp).min(PARK_MAX);
-                std::thread::sleep(park);
+                fds.clear();
+                fds.push(waker.poll_fd());
+                let max_write = shared.cfg.max_write_buffer;
+                fds.extend(
+                    conns
+                        .iter()
+                        .map(|c| PollFd::new(c.stream.as_raw_fd(), interest(c, max_write))),
+                );
+                let timeout = next_idle_deadline(&conns, shared.cfg.idle_timeout)
+                    .map(|at| at.saturating_duration_since(Instant::now()));
+                wait_ready(&mut fds, timeout);
+                if fds[0].revents != 0 {
+                    waker.clear();
+                }
             }
         }
+    }
+}
+
+/// The readiness a connection waits for: `POLLIN` while it may read (not
+/// closing and under the write-buffer cap), `POLLOUT` while replies are
+/// pending.
+fn interest(conn: &Conn, max_write_buffer: usize) -> i16 {
+    let mut events = 0;
+    if conn.closing.is_none() && conn.pending_write() < max_write_buffer {
+        events |= POLLIN;
+    }
+    if conn.pending_write() > 0 {
+        events |= POLLOUT;
+    }
+    events
+}
+
+/// When the first of `conns` that can still be reaped goes idle too long.
+fn next_idle_deadline(conns: &[Conn], idle_timeout: Duration) -> Option<Instant> {
+    conns
+        .iter()
+        .filter(|c| c.closing.is_none())
+        .map(|c| c.last_active + idle_timeout)
+        .min()
+}
+
+/// The `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+impl PollFd {
+    fn new(fd: i32, events: i16) -> Self {
+        PollFd {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+}
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+const POLLIN: i16 = 0x1;
+const POLLOUT: i16 = 0x4;
+
+/// Blocks until one of `fds` is ready (see each entry's `revents`) or
+/// `timeout` passes; `None` waits indefinitely. `poll` counts in whole
+/// milliseconds, so the timeout is rounded up: waking early would only
+/// spin back into another wait.
+fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) {
+    let ms = timeout.map_or(-1, |t| {
+        t.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int
+    });
+    loop {
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `#[repr(C)]` pollfd structs and its length is passed with it.
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+        if rc >= 0 || std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
+            return;
+        }
+    }
+}
+
+/// A socket pair that wakes a thread blocked in [`wait_ready`]: the thread
+/// polls the read end, anyone may write a byte to the other.
+struct Waker {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+impl Waker {
+    fn new() -> std::io::Result<Self> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Waker { rx, tx })
+    }
+
+    fn poll_fd(&self) -> PollFd {
+        PollFd::new(self.rx.as_raw_fd(), POLLIN)
+    }
+
+    fn wake(&self) {
+        // `WouldBlock` means the buffer is full of wakes already pending.
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Consumes pending wakes so the next wait blocks again.
+    fn clear(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
@@ -1030,7 +1193,7 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
             }
             Request::Stats => Response::Stats(stats_json(shared)),
             Request::Shutdown => {
-                shared.shutdown.store(true, Ordering::SeqCst);
+                shared.begin_shutdown();
                 Response::Ok
             }
             Request::Metrics { format } => match shared.obs.registry() {
@@ -1380,27 +1543,7 @@ mod tests {
         db.db().flush().unwrap();
         let mut cfg = ServerConfig::default();
         tweak(&mut cfg);
-        let obs = db.obs();
-        Arc::new(Shared {
-            metrics: Metrics::new(&obs),
-            telemetry: obs.is_enabled(),
-            obs,
-            db: Arc::new(db),
-            cfg,
-            shutdown: AtomicBool::new(false),
-            active: AtomicU64::new(0),
-            conn_seq: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_closed: AtomicU64::new(0),
-            conns_refused: AtomicU64::new(0),
-            quota_throttled: AtomicU64::new(0),
-            tenant_throttled: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            tenants: RwLock::new(BTreeMap::new()),
-        })
+        Arc::new(Shared::new(Arc::new(db), cfg, 1).unwrap())
     }
 
     /// A worker-side `Conn` over a real loopback socket pair; the peer end
@@ -1428,6 +1571,118 @@ mod tests {
             closing: None,
         };
         (conn, peer)
+    }
+
+    /// Pins what a parked worker asks `poll` for: a connection over the
+    /// write-buffer cap waits only to drain, a closing one never asks to
+    /// read, and pending replies always ask for `POLLOUT`.
+    #[test]
+    fn poll_interest_follows_backpressure_and_closing() {
+        let cap = 1 << 10;
+        let (mut conn, _peer) = conn_pair();
+        assert_eq!(interest(&conn, cap), POLLIN, "an idle connection reads");
+        conn.wq.encode_with(|out| out.extend_from_slice(&[0u8; 16]));
+        assert_eq!(interest(&conn, cap), POLLIN | POLLOUT, "pending replies");
+        conn.wq
+            .encode_with(|out| out.extend_from_slice(&vec![0u8; cap]));
+        assert_eq!(interest(&conn, cap), POLLOUT, "over the cap: drain only");
+        conn.closing = Some(ConnCloseCause::ClientClosed);
+        assert_eq!(interest(&conn, cap), POLLOUT, "closing: flush only");
+        conn.wq.clear();
+        assert_eq!(interest(&conn, cap) & POLLIN, 0, "closing never reads");
+    }
+
+    /// Waits until the thread named `name` is blocked in the kernel
+    /// (state `S` in its `/proc` stat line); panics after 10 s.
+    fn wait_until_blocked(name: &str) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+                let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+                let stat = std::fs::read_to_string(task.path().join("stat")).unwrap_or_default();
+                // "tid (comm) S ...": the state follows the closing paren.
+                let state = stat.rsplit_once(") ").map(|(_, rest)| rest.chars().next());
+                if comm.trim_end() == name && state == Some(Some('S')) {
+                    return;
+                }
+            }
+            assert!(Instant::now() < deadline, "{name} never blocked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A worker with no connections blocks in `poll` with no timeout. A
+    /// connection the accept loop then hands it must wake it and be
+    /// served. On shutdown, a worker that has drained and parked again
+    /// must be woken by the accept loop's exit to see the channel close.
+    #[test]
+    fn handed_off_connection_wakes_a_worker_parked_without_timeout() {
+        let shared = test_shared(|_| {});
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let (exited_tx, exited) = mpsc::channel();
+        let worker = {
+            let shared = shared.clone();
+            std::thread::Builder::new()
+                .name("parked-worker".to_string())
+                .spawn(move || {
+                    worker_loop(&shared, 0, &rx);
+                    exited_tx.send(()).unwrap();
+                })
+                .unwrap()
+        };
+        let acceptor = {
+            let shared = shared.clone();
+            std::thread::Builder::new()
+                .name("parked-accept".to_string())
+                .spawn(move || accept_loop(&shared, &listener, vec![tx]))
+                .unwrap()
+        };
+        wait_until_blocked("parked-worker");
+        wait_until_blocked("parked-accept");
+
+        let mut client = TcpStream::connect(addr).unwrap();
+        let mut frame = Vec::new();
+        protocol::encode_request(&mut frame, 7, &Request::Ping);
+        client.write_all(&frame).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut got = Vec::new();
+        let mut chunk = [0u8; 64];
+        let reply = loop {
+            if let Progress::Frame(Ok(reply), _) =
+                protocol::decode_response(&got, 1 << 20, Opcode::Ping)
+            {
+                break reply;
+            }
+            let n = client.read(&mut chunk).expect("reply within 10 s");
+            assert!(n > 0, "worker closed the connection unanswered");
+            got.extend_from_slice(&chunk[..n]);
+        };
+        assert_eq!(reply, (7, Response::Ok));
+
+        // Shut down in two steps: the worker drains and parks while the
+        // accept loop still holds the channel open, then only the accept
+        // loop is woken, and its exit must wake the worker. The accept
+        // loop must be parked first, or it could see the flag on its own.
+        wait_until_blocked("parked-accept");
+        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.worker_wakers[0].wake();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while shared.conns_closed.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "worker never drained");
+            std::thread::yield_now();
+        }
+        wait_until_blocked("parked-worker");
+        shared.accept_waker.wake();
+        acceptor.join().unwrap();
+        exited
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker exited after the accept loop closed");
+        worker.join().unwrap();
     }
 
     /// Regression (backpressure bypass): one buffered burst of pipelined

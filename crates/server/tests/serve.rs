@@ -9,13 +9,15 @@ use adcache_core::{CachedDb, EngineConfig, Strategy};
 use adcache_lsm::{MemStorage, Options};
 use adcache_obs::Obs;
 use adcache_server::{
-    loadgen, Client, LoadgenConfig, MetricsFormat, Request, Response, Server, ServerConfig,
+    decode_response, encode_request, loadgen, Client, LoadgenConfig, MetricsFormat, Opcode,
+    Progress, Request, Response, Server, ServerConfig,
 };
 use adcache_workload::{render_key, AdversaryConfig, AdversaryKind, Mix, WorkloadConfig};
 use bytes::Bytes;
 use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_db(with_obs: bool) -> Arc<CachedDb> {
     let db = CachedDb::new(
@@ -1002,4 +1004,93 @@ fn auth_binds_tenants_and_tenant_quota_aggregates_across_connections() {
     let of = |t: u32| reports.iter().find(|r| r.tenant == t).unwrap();
     assert!(of(1).ops > 0, "hot tenant ops: {reports:?}");
     assert!(of(2).ops >= 20, "quiet tenant ops: {reports:?}");
+}
+
+/// Pings over a raw socket with a 10 s read deadline, so a server thread
+/// that is never woken fails the test instead of hanging it.
+fn ping_within_deadline(stream: &mut TcpStream, id: u64) -> Response {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frame = Vec::new();
+    encode_request(&mut frame, id, &Request::Ping);
+    stream.write_all(&frame).unwrap();
+    let mut got = Vec::new();
+    let mut chunk = [0u8; 256];
+    loop {
+        if let Progress::Frame(Ok((reply_id, resp)), _) =
+            decode_response(&got, 1 << 20, Opcode::Ping)
+        {
+            assert_eq!(reply_id, id);
+            return resp;
+        }
+        let n = stream.read(&mut chunk).expect("reply within 10 s");
+        assert!(n > 0, "server closed the connection unanswered");
+        got.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// A worker that has gone idle blocks in `poll` on its connections; a
+/// request arriving after a quiet spell must wake it and be answered.
+#[test]
+fn request_after_an_idle_spell_is_answered() {
+    let server = start_server(test_db(false), |_| {});
+    let mut c = TcpStream::connect(server.local_addr()).unwrap();
+    assert_eq!(ping_within_deadline(&mut c, 1), Response::Ok);
+    // The quiet spell is the scenario: the worker spins out and parks.
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(ping_within_deadline(&mut c, 2), Response::Ok);
+    let report = server.shutdown();
+    assert_eq!(report.requests, 2);
+}
+
+/// With one worker and its only connection gone, the worker blocks in
+/// `poll` with no timeout at all; after a quiet spell, the accept loop's
+/// wake byte must get a new connection adopted and served. (The unit test
+/// `handed_off_connection_wakes_a_worker_parked_without_timeout` checks
+/// from `/proc` that the worker really is blocked first.)
+#[test]
+fn new_connection_wakes_a_worker_parked_without_timeout() {
+    let db = test_db(true);
+    let server = start_server(db.clone(), |cfg| cfg.workers = 1);
+    let mut first = TcpStream::connect(server.local_addr()).unwrap();
+    assert_eq!(ping_within_deadline(&mut first, 1), Response::Ok);
+    drop(first);
+    // Wait (bounded) for the worker to reap it: from then on it owns no
+    // socket, so nothing but a wake can rouse it.
+    let active = db.obs().gauge("server.conns.active");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while active.get() != 0 {
+        assert!(Instant::now() < deadline, "first connection never reaped");
+        std::thread::yield_now();
+    }
+    // The quiet spell is the scenario: the worker spins out and parks.
+    std::thread::sleep(Duration::from_millis(50));
+    let mut second = TcpStream::connect(server.local_addr()).unwrap();
+    assert_eq!(ping_within_deadline(&mut second, 1), Response::Ok);
+    let report = server.shutdown();
+    assert_eq!(report.conns_accepted, 2);
+    assert_eq!(report.conns_closed, 2);
+}
+
+/// A `Shutdown` frame on one worker's connection must drain the whole
+/// server, including a worker that owns no connection and is blocked in
+/// `poll` with no timeout.
+#[test]
+fn shutdown_frame_drains_a_server_with_a_parked_worker() {
+    let server = start_server(test_db(false), |cfg| cfg.workers = 2);
+    // Round-robin dispatch puts this connection on worker 0; worker 1
+    // owns nothing.
+    let mut c = TcpStream::connect(server.local_addr()).unwrap();
+    assert_eq!(ping_within_deadline(&mut c, 1), Response::Ok);
+    let mut frame = Vec::new();
+    encode_request(&mut frame, 2, &Request::Shutdown);
+    c.write_all(&frame).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(server.wait()).unwrap());
+    let report = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("server drained within 10 s");
+    assert_eq!(report.requests, 2);
+    assert_eq!(report.conns_accepted, report.conns_closed);
 }
