@@ -77,7 +77,7 @@ fn bench_wal_and_histogram(c: &mut Criterion) {
     let mut g = c.benchmark_group("durability");
     let path = std::env::temp_dir().join(format!("adcache-bench-wal-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut wal = WalWriter::open(Arc::new(RealFs::new()), &path, false).unwrap();
+    let mut wal = WalWriter::open(Arc::new(RealFs::new()), &path).unwrap();
     let value = Entry::Put(Bytes::from(vec![b'v'; 100]));
     g.bench_function("wal_append_100b", |b| {
         b.iter(|| {

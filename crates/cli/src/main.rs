@@ -154,7 +154,6 @@ fn build_db(cfg: &CliConfig) -> Result<CachedDb, Box<dyn std::error::Error>> {
     engine.sketch_guard = cfg.sketch_guard;
     let tune = |mut opts: Options| {
         opts.stripes = cfg.stripes;
-        opts.background_maintenance = cfg.stripes > 1;
         opts
     };
     let db = match &cfg.dir {
@@ -2183,27 +2182,30 @@ impl FaultCheckReport {
     }
 }
 
-/// One crash-recover-verify cycle, entirely in memory: a durable tree
-/// over write-back-modeling fault storage (SSTs) and a simulated
-/// filesystem (WAL + manifest) takes writes under a fault storm with one
-/// armed crash point; the process "crashes" — the tree drops AND every
-/// completed-but-unsynced write is torn out of both device models — then
-/// the store reopens and every key is checked against what the configured
-/// sync policy actually promised.
+/// One crash-recover-verify cycle, entirely in memory: a durable
+/// [`StripedDb`] of `stripes` stripes over write-back-modeling fault
+/// storage (SSTs) and a simulated filesystem (WAL + manifest) takes writes
+/// under a fault storm with one armed crash point; the process "crashes" —
+/// the engine drops AND every completed-but-unsynced write is torn out of
+/// both device models — then the store reopens and every key is checked
+/// against what the configured sync policy actually promised. One stripe
+/// runs its flushes and compactions on the writing thread; more stripes
+/// run them on the worker pool, where a fired crash point poisons the
+/// stripe exactly like a process kill the foreground cannot observe.
 fn faultcheck_cycle(
     cycle: u64,
     seed: u64,
     sync: adcache_lsm::SyncPolicy,
     misplace: Option<adcache_lsm::FsyncSite>,
+    stripes: usize,
     report: &mut FaultCheckReport,
 ) -> Result<(), Box<dyn std::error::Error>> {
     use adcache_lsm::{
-        CrashController, CrashPoint, DirectProvider, FaultPlan, FaultStorage, LsmTree, SimFs,
-        Storage, SyncPolicy,
+        CrashController, CrashPoint, DirectProvider, FaultPlan, FaultStorage, SimFs, Storage,
+        StripedDb, SyncPolicy,
     };
-    use std::sync::atomic::Ordering;
 
-    let cseed = fc_mix(seed ^ cycle.wrapping_mul(0x517C_C1B7_2722_0A95));
+    let cseed = fc_mix(seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let fs = Arc::new(SimFs::new());
     let storage = Arc::new(FaultStorage::new(
         Arc::new(MemStorage::new()),
@@ -2212,14 +2214,15 @@ fn faultcheck_cycle(
     ));
     storage.enable_write_back();
     let crash = CrashController::new();
-    // Tiny memtable + padded values so a 200-op cycle crosses several
-    // flush and compaction seams — that is where the crash points live.
+    // Tiny memtable + padded values so a cycle crosses several flush and
+    // compaction seams — that is where the crash points live.
     let mut opts = Options::small();
     opts.memtable_size = 2 << 10;
     opts.sync = sync;
     opts.misplaced_fsync = misplace;
+    opts.stripes = stripes;
     let meta_dir = std::path::PathBuf::from("/faultcheck/meta");
-    let key_space = 48u64;
+    let key_space = 64u64;
     let kb = |k: u64| Bytes::from(format!("k{k:04}"));
     let pad = "x".repeat(48);
     // Per-key write history, in order: (value-or-tombstone, acked?,
@@ -2228,9 +2231,8 @@ fn faultcheck_cycle(
     // forbidden states.
     let mut history: Vec<Vec<(Option<Bytes>, bool, u64)>> = vec![Vec::new(); key_space as usize];
     let mut seq = 0u64;
-    // Highest sequence number covered by a fully *successful* flush — the
-    // `on_flush` policy's durability floor. (A flush that errored past the
-    // counter bump may have synced nothing, so only acked flushes count.)
+    // The `on_flush` durability floor: every write up to this sequence
+    // number sits in a flushed table under a committed manifest.
     let mut flushed_seq = 0u64;
     let mut rng = cseed | 1;
     let mut next = move || {
@@ -2238,9 +2240,19 @@ fn faultcheck_cycle(
         rng
     };
     {
-        let db = LsmTree::with_durability_fs(opts.clone(), storage.clone(), &meta_dir, fs.clone())?;
+        let db =
+            StripedDb::with_durability_fs(opts.clone(), storage.clone(), &meta_dir, fs.clone())?;
         db.set_crash_controller(crash.clone());
-        let mut flushes_seen = 0u64;
+        // Raises the floor after an acked op or a successful `flush()`,
+        // and only when no stripe buffers anything: every write so far has
+        // then been flushed. A flush counter cannot stand in for this — a
+        // flush can run inside an op that fails afterwards, and the next
+        // acked write is not covered by it.
+        let mut settle = |db: &StripedDb, seq: u64| {
+            if db.memtable_len() == 0 {
+                flushed_seq = seq;
+            }
+        };
         // Baseline data lands cleanly so the faulted phase reads and
         // compacts real tables.
         for k in 0..key_space {
@@ -2249,16 +2261,11 @@ fn faultcheck_cycle(
             let acked = db.put(kb(k), v.clone()).is_ok();
             history[k as usize].push((Some(v), acked, seq));
             if acked {
-                let f = db.stats().flushes.load(Ordering::Relaxed);
-                if f > flushes_seen {
-                    flushes_seen = f;
-                    flushed_seq = seq;
-                }
+                settle(&db, seq);
             }
         }
         if db.flush().is_ok() {
-            flushes_seen = db.stats().flushes.load(Ordering::Relaxed);
-            flushed_seq = seq;
+            settle(&db, seq);
         }
 
         // Storm on, one crash point armed somewhere in the cycle.
@@ -2268,36 +2275,36 @@ fn faultcheck_cycle(
             points[(next() % points.len() as u64) as usize],
             next() % 3 + 1,
         );
-        for i in 0..200u64 {
+        for i in 0..300u64 {
             let k = next() % key_space;
             match next() % 100 {
-                0..=59 => {
+                0..=54 => {
                     let v = Bytes::from(format!("c{cycle}-i{i}-{pad}"));
                     seq += 1;
                     let acked = db.put(kb(k), v.clone()).is_ok();
                     history[k as usize].push((Some(v), acked, seq));
                     if acked {
-                        let f = db.stats().flushes.load(Ordering::Relaxed);
-                        if f > flushes_seen {
-                            flushes_seen = f;
-                            flushed_seq = seq;
-                        }
+                        settle(&db, seq);
                     }
                 }
-                60..=69 => {
+                55..=64 => {
                     seq += 1;
                     let acked = db.delete(kb(k)).is_ok();
                     history[k as usize].push((None, acked, seq));
                     if acked {
-                        let f = db.stats().flushes.load(Ordering::Relaxed);
-                        if f > flushes_seen {
-                            flushes_seen = f;
-                            flushed_seq = seq;
-                        }
+                        settle(&db, seq);
+                    }
+                }
+                65..=69 => {
+                    if db.flush().is_ok() {
+                        settle(&db, seq);
                     }
                 }
                 70..=74 => {
                     let _ = db.maybe_compact_once();
+                }
+                75..=79 => {
+                    let _ = db.scan(&kb(k), 8, &DirectProvider);
                 }
                 _ => {
                     let _ = db.get(&kb(k), &DirectProvider);
@@ -2307,11 +2314,16 @@ fn faultcheck_cycle(
                 break;
             }
         }
+        // Give in-flight background jobs a moment to hit the armed point.
+        if !crash.fired() {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
         if crash.fired() {
             report.crashes_fired += 1;
         }
         report.faults_injected += storage.fault_stats().total();
-        // The tree drops here: the simulated crash...
+        // The engine drops here, joining any worker pool: the "process"
+        // is fully dead before the device models crash below...
     }
 
     // ...and the crash also tears every completed-but-unsynced write out
@@ -2324,11 +2336,11 @@ fn faultcheck_cycle(
 
     // Recovery runs against a quiet device. "Acked" now means "acked
     // under the configured sync policy": with `always` every acked write
-    // must survive; with `on_flush` every acked write up to the last
-    // successful flush must; with `never` nothing is promised beyond
-    // serving only values that were actually written.
+    // must survive; with `on_flush` every acked write up to the floor
+    // must; with `never` nothing is promised beyond serving only values
+    // that were actually written.
     let reopen =
-        || LsmTree::with_durability_fs(opts.clone(), storage.clone(), &meta_dir, fs.clone());
+        || StripedDb::with_durability_fs(opts.clone(), storage.clone(), &meta_dir, fs.clone());
     let db = match reopen() {
         Ok(db) => db,
         Err(e) => {
@@ -2366,8 +2378,8 @@ fn faultcheck_cycle(
         }
         state.push(got);
     }
-    // The recovery sweep must leave no table on the device that the
-    // recovered version does not reference.
+    // The per-stripe recovery sweeps must jointly leave no table on the
+    // device that the recovered version does not reference.
     let live: usize = db.level_summary().iter().map(|(_, files, _)| files).sum();
     let on_device = storage.table_count();
     if on_device > live {
@@ -2409,207 +2421,6 @@ fn faultcheck_cycle(
     Ok(())
 }
 
-/// The striped variant of [`faultcheck_cycle`]: a [`StripedDb`] with
-/// background maintenance on, so flushes and compactions run on worker
-/// threads and the armed crash point can fire *inside a background job*
-/// (which poisons that stripe, exactly like a process kill the foreground
-/// cannot observe). The `on_flush` durability floor comes from explicit
-/// synchronous `flush()` calls — background flush completions are
-/// asynchronous and promise nothing about when they covered a given ack.
-fn faultcheck_cycle_striped(
-    cycle: u64,
-    seed: u64,
-    sync: adcache_lsm::SyncPolicy,
-    misplace: Option<adcache_lsm::FsyncSite>,
-    stripes: usize,
-    report: &mut FaultCheckReport,
-) -> Result<(), Box<dyn std::error::Error>> {
-    use adcache_lsm::{
-        CrashController, CrashPoint, DirectProvider, FaultPlan, FaultStorage, SimFs, Storage,
-        StripedDb, SyncPolicy,
-    };
-
-    let cseed = fc_mix(seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let fs = Arc::new(SimFs::new());
-    let storage = Arc::new(FaultStorage::new(
-        Arc::new(MemStorage::new()),
-        cseed,
-        FaultPlan::none(),
-    ));
-    storage.enable_write_back();
-    let crash = CrashController::new();
-    let mut opts = Options::small();
-    opts.memtable_size = 2 << 10;
-    opts.sync = sync;
-    opts.misplaced_fsync = misplace;
-    opts.stripes = stripes;
-    opts.background_maintenance = true;
-    let meta_dir = std::path::PathBuf::from("/faultcheck/striped");
-    let key_space = 64u64;
-    let kb = |k: u64| Bytes::from(format!("k{k:04}"));
-    let pad = "x".repeat(48);
-    let mut history: Vec<Vec<(Option<Bytes>, bool, u64)>> = vec![Vec::new(); key_space as usize];
-    let mut seq = 0u64;
-    let mut flushed_seq = 0u64;
-    let mut rng = cseed | 1;
-    let mut next = move || {
-        rng = fc_mix(rng);
-        rng
-    };
-    {
-        let db =
-            StripedDb::with_durability_fs(opts.clone(), storage.clone(), &meta_dir, fs.clone())?;
-        db.set_crash_controller(crash.clone());
-        for k in 0..key_space {
-            let v = Bytes::from(format!("base-{cycle}-{k}-{pad}"));
-            seq += 1;
-            let acked = db.put(kb(k), v.clone()).is_ok();
-            history[k as usize].push((Some(v), acked, seq));
-        }
-        if db.flush().is_ok() {
-            flushed_seq = seq;
-        }
-
-        storage.set_plan(FaultPlan::storm());
-        let points = CrashPoint::all();
-        crash.arm(
-            points[(next() % points.len() as u64) as usize],
-            next() % 3 + 1,
-        );
-        for i in 0..300u64 {
-            let k = next() % key_space;
-            match next() % 100 {
-                0..=54 => {
-                    let v = Bytes::from(format!("c{cycle}-i{i}-{pad}"));
-                    seq += 1;
-                    let acked = db.put(kb(k), v.clone()).is_ok();
-                    history[k as usize].push((Some(v), acked, seq));
-                }
-                55..=64 => {
-                    seq += 1;
-                    let acked = db.delete(kb(k)).is_ok();
-                    history[k as usize].push((None, acked, seq));
-                }
-                65..=69 => {
-                    // Explicit synchronous flush: the only event that may
-                    // raise the on_flush durability floor in this drill.
-                    if db.flush().is_ok() {
-                        flushed_seq = seq;
-                    }
-                }
-                70..=74 => {
-                    let _ = db.maybe_compact_once();
-                }
-                75..=79 => {
-                    let _ = db.scan(&kb(k), 8, &DirectProvider);
-                }
-                _ => {
-                    let _ = db.get(&kb(k), &DirectProvider);
-                }
-            }
-            if crash.fired() {
-                break;
-            }
-        }
-        // Give in-flight background jobs a moment to hit the armed point.
-        if !crash.fired() {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        if crash.fired() {
-            report.crashes_fired += 1;
-        }
-        report.faults_injected += storage.fault_stats().total();
-        // Dropping the StripedDb joins the worker pool — the "process"
-        // is fully dead before the device models crash below.
-    }
-
-    storage.set_active(false);
-    let (sst_files, _) = storage.crash_drop_unsynced(fc_mix(cseed ^ 0xA5A5));
-    let meta_loss = fs.crash(fc_mix(cseed ^ 0x5A5A));
-    report.unsynced_files_dropped += sst_files + meta_loss.files;
-
-    // Reopen with background maintenance off: recovery is identical (the
-    // option only affects the write path), and the verification reads are
-    // deterministic.
-    let mut verify_opts = opts.clone();
-    verify_opts.background_maintenance = false;
-    let reopen = || {
-        StripedDb::with_durability_fs(verify_opts.clone(), storage.clone(), &meta_dir, fs.clone())
-    };
-    let db = match reopen() {
-        Ok(db) => db,
-        Err(e) => {
-            report.failed_opens += 1;
-            eprintln!("striped cycle {cycle}: reopen failed: {e}");
-            return Ok(());
-        }
-    };
-    let mut state = Vec::with_capacity(key_space as usize);
-    for k in 0..key_space {
-        let got = db.get(&kb(k), &DirectProvider)?;
-        let h = &history[k as usize];
-        let strong = match sync {
-            SyncPolicy::Always => h.iter().rposition(|(_, acked, _)| *acked),
-            SyncPolicy::OnFlush => h
-                .iter()
-                .rposition(|(_, acked, s)| *acked && *s <= flushed_seq),
-            SyncPolicy::Never => None,
-        };
-        let matches = |want: &Option<Bytes>| got.as_deref() == want.as_deref();
-        let ok = match strong {
-            Some(idx) => h[idx..].iter().any(|(v, _, _)| matches(v)),
-            None => got.is_none() || h.iter().any(|(v, _, _)| matches(v)),
-        };
-        if !ok {
-            report.lost_acked_writes += 1;
-            eprintln!(
-                "striped cycle {cycle}: key k{k:04} recovered {:?}, not justified under sync={}",
-                got.as_ref()
-                    .map(|v| String::from_utf8_lossy(v).into_owned()),
-                sync.name(),
-            );
-        }
-        state.push(got);
-    }
-    // Per-stripe orphan sweeps must jointly leave no unreferenced table.
-    let live: usize = db.level_summary().iter().map(|(_, files, _)| files).sum();
-    let on_device = storage.table_count();
-    if on_device > live {
-        report.orphan_leftovers += (on_device - live) as u64;
-        eprintln!("striped cycle {cycle}: {on_device} tables on device, only {live} referenced");
-    }
-    drop(db);
-
-    let db = match reopen() {
-        Ok(db) => db,
-        Err(e) => {
-            report.failed_opens += 1;
-            eprintln!("striped cycle {cycle}: second reopen failed: {e}");
-            return Ok(());
-        }
-    };
-    for k in 0..key_space {
-        if db.get(&kb(k), &DirectProvider)? != state[k as usize] {
-            report.unstable_reopens += 1;
-            eprintln!("striped cycle {cycle}: key k{k:04} changed between reopens");
-        }
-    }
-    // Post-recovery writability across every stripe (stride-allocated file
-    // ids must not collide with any leftover).
-    for j in 0..key_space {
-        let v = Bytes::from(format!("post-{cycle}-{j}-{pad}"));
-        if db.put(Bytes::from(format!("z{j:04}")), v).is_err() {
-            report.id_collisions += 1;
-        }
-    }
-    if db.flush().is_err() {
-        report.id_collisions += 1;
-        eprintln!("striped cycle {cycle}: post-recovery flush failed (file-id collision?)");
-    }
-    drop(db);
-    Ok(())
-}
-
 /// `adcache faultcheck` — runs N seeded crash-recover-verify cycles plus
 /// an RL storm drill; exits nonzero on any violated guarantee.
 fn cmd_faultcheck(
@@ -2625,11 +2436,7 @@ fn cmd_faultcheck(
 
     let mut report = FaultCheckReport::default();
     for cycle in 0..cycles {
-        if stripes > 1 {
-            faultcheck_cycle_striped(cycle, seed, sync, misplace, stripes, &mut report)?;
-        } else {
-            faultcheck_cycle(cycle, seed, sync, misplace, &mut report)?;
-        }
+        faultcheck_cycle(cycle, seed, sync, misplace, stripes, &mut report)?;
     }
 
     // RL guarantee: a full engine + controller run under a fault storm
@@ -3072,83 +2879,40 @@ mod tests {
 
     #[test]
     fn faultcheck_cycles_hold_guarantees_under_every_sync_policy() {
-        for sync in adcache_lsm::SyncPolicy::all() {
-            let mut report = FaultCheckReport::default();
-            for cycle in 0..6 {
-                faultcheck_cycle(cycle, 7, sync, None, &mut report).unwrap();
+        // One stripe crashes on the writer's own stack; eight run
+        // maintenance on the pool, so the armed point fires inside a
+        // worker and poisons that stripe.
+        for stripes in [1, 8] {
+            for sync in adcache_lsm::SyncPolicy::all() {
+                let mut report = FaultCheckReport::default();
+                for cycle in 0..6 {
+                    faultcheck_cycle(cycle, 7, sync, None, stripes, &mut report).unwrap();
+                }
+                assert!(
+                    report.ok(),
+                    "guarantees violated under sync={}, stripes={stripes}: {} lost acked, \
+                     {} failed opens, {} unstable, {} orphans, {} collisions",
+                    sync.name(),
+                    report.lost_acked_writes,
+                    report.failed_opens,
+                    report.unstable_reopens,
+                    report.orphan_leftovers,
+                    report.id_collisions,
+                );
+                assert!(report.faults_injected > 0, "the storm plan must bite");
+                assert!(report.crashes_fired > 0, "crash points must fire");
             }
-            assert!(
-                report.ok(),
-                "guarantees violated under sync={}: {} lost acked, {} failed opens, \
-                 {} unstable, {} orphans, {} collisions",
-                sync.name(),
-                report.lost_acked_writes,
-                report.failed_opens,
-                report.unstable_reopens,
-                report.orphan_leftovers,
-                report.id_collisions,
-            );
-            assert!(report.faults_injected > 0, "the storm plan must bite");
-            assert!(report.crashes_fired > 0, "crash points must fire");
         }
-    }
-
-    #[test]
-    fn striped_faultcheck_holds_guarantees_with_background_crash_points() {
-        // The striped drill runs with background maintenance on, so the
-        // armed crash point fires inside a pool worker (poisoning that
-        // stripe) rather than on the writer's own stack.
-        for sync in adcache_lsm::SyncPolicy::all() {
-            let mut report = FaultCheckReport::default();
-            for cycle in 0..6 {
-                faultcheck_cycle_striped(cycle, 7, sync, None, 8, &mut report).unwrap();
-            }
-            assert!(
-                report.ok(),
-                "striped guarantees violated under sync={}: {} lost acked, {} failed opens, \
-                 {} unstable, {} orphans, {} collisions",
-                sync.name(),
-                report.lost_acked_writes,
-                report.failed_opens,
-                report.unstable_reopens,
-                report.orphan_leftovers,
-                report.id_collisions,
-            );
-            assert!(report.faults_injected > 0, "the storm plan must bite");
-            assert!(report.crashes_fired > 0, "crash points must fire");
-        }
-    }
-
-    #[test]
-    fn faultcheck_goes_red_when_the_manifest_dir_fsync_is_misplaced() {
-        use adcache_lsm::{FsyncSite, SyncPolicy};
-        // The guarded hook omits exactly one fsync (the directory sync
-        // after the manifest rename). Under `always` that single hole
-        // must make the drill fail — proving it can detect a real
-        // regression in fsync placement, not just pass vacuously.
-        let mut report = FaultCheckReport::default();
-        for cycle in 0..6 {
-            faultcheck_cycle(
-                cycle,
-                7,
-                SyncPolicy::Always,
-                Some(FsyncSite::ManifestDir),
-                &mut report,
-            )
-            .unwrap();
-        }
-        assert!(
-            !report.ok(),
-            "a misplaced manifest-directory fsync must lose acked writes"
-        );
     }
 
     #[test]
     fn faultcheck_goes_red_when_the_wal_reset_sync_is_misplaced() {
         use adcache_lsm::{FsyncSite, SyncPolicy};
-        // Under `on_flush` the WAL truncation must be sync-bracketed;
-        // without it a stale pre-flush segment can resurrect after a
-        // crash and shadow newer flushed data on replay.
+        // Under `on_flush` the outgoing WAL segment must be synced when
+        // the memtable is sealed; without it a crash can tear the sealed
+        // segment, and its stale prefix — resurrected because the flush's
+        // deletion of it is unsynced — shadows newer flushed data on
+        // replay.
         let mut report = FaultCheckReport::default();
         let mut any_red = false;
         for cycle in 0..12 {
@@ -3157,6 +2921,7 @@ mod tests {
                 7,
                 SyncPolicy::OnFlush,
                 Some(FsyncSite::WalReset),
+                1,
                 &mut report,
             )
             .unwrap();
@@ -3164,7 +2929,7 @@ mod tests {
         }
         assert!(
             any_red,
-            "an unsynced WAL truncation must eventually resurrect stale records"
+            "an unsynced sealed segment must eventually resurrect stale records"
         );
     }
 

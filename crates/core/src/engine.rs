@@ -230,7 +230,7 @@ impl FillFence {
 
 /// An LSM-tree fronted by the configured cache strategy. The tree itself
 /// is a [`StripedDb`]: N keyspace stripes with independent write paths
-/// (one stripe, synchronous maintenance by default).
+/// (one stripe, whose writers run its maintenance, by default).
 ///
 /// The cache layer is tenant-partitioned (see [`crate::tenant`]): every
 /// registered tenant owns a shared-nothing [`Partition`] sized by its

@@ -3,8 +3,11 @@
 //! [`LsmTree`] wires together the memtable, the level manifest, flushes and
 //! compactions into the read/write API the cache layer builds on:
 //!
-//! - writes land in the memtable; crossing the flush threshold synchronously
-//!   flushes to Level 0 and runs any compactions that become due;
+//! - writes land in the memtable; crossing the flush threshold seals it
+//!   (freezes it and rotates the WAL), and [`LsmTree::maintain_once`]
+//!   then flushes it to Level 0 and runs any compactions that become due
+//!   — on the background pool when one is attached, otherwise on the
+//!   writer right after it releases the engine lock;
 //! - point lookups search memtable, then Level-0 runs newest-first, then one
 //!   candidate table per deeper level, skipping via Bloom filters;
 //! - scans merge the memtable with every overlapping run.
@@ -118,8 +121,7 @@ pub struct DbStats {
     /// dropped because the sync policy permits it (`SyncPolicy::Never`
     /// only; under stronger policies this is a hard error).
     pub missing_tables_dropped: AtomicU64,
-    /// Memtables sealed (frozen + WAL segment rotated) for a background
-    /// flush.
+    /// Memtables sealed (frozen + WAL segment rotated) for a flush.
     pub seals: AtomicU64,
     /// Writes that stalled because their stripe's sealed memtable was
     /// still in flight and the active one was over its hard budget (or
@@ -152,7 +154,7 @@ impl DbStats {
         )
     }
 
-    /// Seals (memtables frozen for background flush) snapshot.
+    /// Seals (memtables frozen for a flush) snapshot.
     pub fn seals(&self) -> u64 {
         self.seals.load(Ordering::Relaxed)
     }
@@ -194,12 +196,13 @@ struct SealedSegment {
 
 struct Inner {
     mem: MemTable,
-    /// A frozen memtable awaiting its (background) flush. Reads check it
+    /// A frozen memtable awaiting its flush. Reads check it
     /// between `mem` and Level 0; writers never touch it.
     imm: Option<Arc<MemTable>>,
     version: Version,
     /// Present when durability is enabled; writes are logged before they
-    /// enter the memtable and the log truncates at each flush.
+    /// enter the memtable and the log rotates into a sealed segment at
+    /// each seal.
     wal: Option<WalWriter>,
     /// Rotated WAL segments covering `imm` (or, right after recovery, the
     /// replayed prefix of `mem`).
@@ -254,14 +257,15 @@ pub struct LsmTree {
     /// the process is considered dead and every subsequent operation
     /// errors until the instance is dropped and reopened.
     poisoned: AtomicBool,
-    /// Serializes maintenance work (background worker vs explicit flush).
+    /// Serializes maintenance work (pool worker, sealing writer, explicit
+    /// flush).
     maintenance: std::sync::Mutex<()>,
     /// Backpressure parking lot: over-budget writers wait here until a
     /// flush or compaction frees room on *this* stripe.
     stall_lock: std::sync::Mutex<()>,
     stall_cv: std::sync::Condvar,
     /// Invoked (outside the engine lock) when a seal hands flush work to a
-    /// background pool; `None` falls back to inline maintenance.
+    /// background pool; `None` runs the maintenance on the sealing writer.
     maintenance_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
@@ -449,9 +453,7 @@ impl LsmTree {
                 Entry::Tombstone => mem.delete(ke.key),
             }
         }
-        let reset_sync =
-            opts.sync != SyncPolicy::Never && opts.misplaced_fsync != Some(FsyncSite::WalReset);
-        let wal = WalWriter::open(fs.clone(), &wal_path, reset_sync)?;
+        let wal = WalWriter::open(fs.clone(), &wal_path)?;
         if opts.sync != SyncPolicy::Never {
             // A freshly created WAL is only durable once its directory
             // entry is — without this, a crash before the first manifest
@@ -812,9 +814,18 @@ impl LsmTree {
             });
         }
         applied?;
-        // Only the leader pays for the maintenance the group's application
-        // made due — the same contract as the old per-write flush check.
-        self.post_write_maintenance(&mut inner)
+        // Only the leader pays for the maintenance its group made due, and
+        // only after releasing the write lock: the pool runs it when one is
+        // attached, otherwise this writer does.
+        if !self.seal_if_full(&mut inner)? {
+            return Ok(());
+        }
+        drop(inner);
+        if self.maintenance_hook.read().is_some() {
+            self.kick_maintenance();
+            return Ok(());
+        }
+        self.maintain_once().map(|_| ())
     }
 
     /// Leader half of group commit: append every queued batch to the WAL
@@ -860,29 +871,16 @@ impl LsmTree {
         Ok(())
     }
 
-    /// After a group lands: flush inline (classic mode) or seal for the
-    /// background pool when the memtable crosses its budget.
-    fn post_write_maintenance(&self, inner: &mut Inner) -> Result<()> {
-        if inner.mem.approximate_bytes() < self.opts.memtable_size {
-            return Ok(());
+    /// Seals the memtable once it crosses its budget; returns whether it
+    /// did. While a seal is already in flight the budget gate at commit
+    /// entry is what stalls writers, and this write already paid for its
+    /// room.
+    fn seal_if_full(&self, inner: &mut Inner) -> Result<bool> {
+        if inner.mem.approximate_bytes() < self.opts.memtable_size || inner.imm.is_some() {
+            return Ok(false);
         }
-        if !self.background_on() {
-            self.flush_locked(inner)?;
-            return self.compact_due_locked(inner);
-        }
-        if inner.imm.is_none() {
-            self.seal_locked(inner)?;
-            self.kick_maintenance();
-        }
-        // A seal is already in flight: the budget gate at commit entry is
-        // what stalls writers, and this write already paid for its room.
-        Ok(())
-    }
-
-    /// Whether flush/compaction run on background workers (sealing the
-    /// memtable) instead of synchronously inside the write path.
-    fn background_on(&self) -> bool {
-        self.opts.background_maintenance
+        self.seal_locked(inner)?;
+        Ok(true)
     }
 
     /// Backpressure gate: when this stripe's sealed memtable is still in
@@ -892,9 +890,6 @@ impl LsmTree {
     /// consulted — a foreground write never waits on another stripe's
     /// flush.
     fn wait_for_write_budget(&self) -> Result<()> {
-        if !self.background_on() {
-            return Ok(());
-        }
         let mut stalled = false;
         loop {
             self.check_poison()?;
@@ -928,8 +923,8 @@ impl LsmTree {
         }
     }
 
-    /// Freezes the memtable for a background flush and rotates the active
-    /// WAL under it. The outgoing segment is fully synced first (policy
+    /// Freezes the memtable for its flush and rotates the active WAL under
+    /// it. The outgoing segment is fully synced first (policy
     /// permitting) so a later crash can never tear it into a stale prefix
     /// that shadows the SST it becomes, and the rename plus the fresh
     /// `wal.log` are made durable with one directory sync before any
@@ -954,7 +949,7 @@ impl LsmTree {
             let sealed_path = d.dir.join(format!("wal-{seq:06}.log"));
             let active = d.dir.join("wal.log");
             d.fs.rename(&active, &sealed_path)?;
-            inner.wal = Some(WalWriter::open(d.fs.clone(), &active, seal_sync)?);
+            inner.wal = Some(WalWriter::open(d.fs.clone(), &active)?);
             if syncing {
                 d.fs.sync_dir(&d.dir)?;
                 self.charge_meta_syncs(1);
@@ -971,9 +966,10 @@ impl LsmTree {
         Ok(())
     }
 
-    /// Attaches the background pool's kick. It is invoked (with the engine
-    /// write lock held) whenever a seal or a stall makes maintenance due,
-    /// so it must only enqueue work — never call back into the engine.
+    /// Attaches the background pool's kick. It is invoked whenever a seal
+    /// or a stall makes maintenance due, so it must only enqueue work —
+    /// never call back into the engine. Without a hook the writer that
+    /// sealed runs the maintenance itself.
     pub fn set_maintenance_hook(&self, hook: Arc<dyn Fn() + Send + Sync>) {
         *self.maintenance_hook.write() = Some(hook);
     }
@@ -1015,7 +1011,7 @@ impl LsmTree {
         self.crash.read().as_ref().is_some_and(|c| c.fired())
     }
 
-    /// Whether a sealed memtable is waiting for its background flush.
+    /// Whether a sealed memtable is waiting for its flush.
     pub fn flush_pending(&self) -> bool {
         self.lock_read(LockPath::Read).imm.is_some()
     }
@@ -1029,10 +1025,10 @@ impl LsmTree {
             .is_some()
     }
 
-    /// One round of background maintenance: flush the sealed memtable if
-    /// one is pending, then run every due compaction. Serialized by the
-    /// maintenance mutex; safe to call from any thread. Returns whether any
-    /// work was done.
+    /// One round of maintenance — the engine's only flush/compaction
+    /// routine: flush the sealed memtable if one is pending, then run every
+    /// due compaction. Serialized by the maintenance mutex; safe to call
+    /// from any thread. Returns whether any work was done.
     pub fn maintain_once(&self) -> Result<bool> {
         self.check_poison()?;
         let _serial = self.maintenance.lock().unwrap();
@@ -1123,117 +1119,28 @@ impl LsmTree {
 
     /// Forces a flush of everything buffered — the sealed memtable if one
     /// is pending, then the active one; a no-op when both are empty — then
-    /// runs any compactions that become due.
+    /// runs any compactions that become due. The active memtable is sealed
+    /// and drained through [`LsmTree::maintain_once`], the same routine a
+    /// full memtable takes.
     pub fn flush(&self) -> Result<()> {
-        self.check_poison()?;
-        if !self.background_on() {
-            let mut inner = self.lock_write(LockPath::Flush);
-            if !inner.mem.is_empty() {
-                self.flush_locked(&mut inner)?;
-                self.compact_due_locked(&mut inner)?;
-            }
-            return Ok(());
-        }
-        let _serial = self.maintenance.lock().unwrap();
         loop {
-            self.flush_imm_once()?;
+            self.maintain_once()?;
             let mut inner = self.lock_write(LockPath::Flush);
             if inner.imm.is_some() {
-                // A writer sealed a fresh memtable between the imm flush
-                // above and this lock acquisition (sealing needs only the
-                // write lock, not the maintenance mutex). `flush_locked`
-                // drains and deletes *every* sealed WAL segment, so running
-                // it now would delete the segment covering that pending imm
-                // without flushing its records — and flush mem with a lower
-                // file id than the later imm flush, letting the older imm
-                // records shadow newer values at L0. Never flush mem ahead
-                // of a pending imm: go back and flush the imm first.
-                drop(inner);
+                // A writer sealed between the drain above and this lock:
+                // that imm holds older records than `mem`, so it must reach
+                // Level 0 first.
                 continue;
             }
-            // Holding the write lock with imm == None: no seal can land
-            // until flush_locked (which keeps the lock) completes.
-            if !inner.mem.is_empty() {
-                self.flush_locked(&mut inner)?;
+            if inner.mem.is_empty() {
+                return Ok(());
             }
-            return self.compact_due_locked(&mut inner);
+            self.seal_locked(&mut inner)?;
+            drop(inner);
+            // Whoever holds the maintenance mutex next flushes this imm
+            // (or already has), so one more round drains it.
+            return self.maintain_once().map(|_| ());
         }
-    }
-
-    fn flush_locked(&self, inner: &mut Inner) -> Result<()> {
-        debug_assert!(!inner.mem.is_empty());
-        let flushed_entries = inner.mem.len() as u64;
-        let mut builder = TableBuilder::new(self.alloc_file(), &self.opts);
-        for ke in inner.mem.iter() {
-            builder.add(&ke.key, &ke.entry)?;
-        }
-        let writes_before = self.storage.stats().writes();
-        let meta = builder.finish(self.storage.as_ref())?;
-        self.sync_new_tables(&[meta.id])?;
-        // Crash here: the SST is durable but unreferenced (an orphan) and
-        // the WAL still covers every record — recovery loses nothing.
-        self.crash_check(CrashPoint::FlushAfterSst)?;
-        inner.version.add_l0(meta);
-        inner.mem = MemTable::new();
-        let flushed_blocks = self.storage.stats().writes() - writes_before;
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .flush_block_writes
-            .fetch_add(flushed_blocks, Ordering::Relaxed);
-        {
-            let hooks = self.obs.read();
-            hooks.flushes.inc();
-            hooks.flush_entries.add(flushed_entries);
-            hooks.obs.emit(|| Event::Flush {
-                entries: flushed_entries,
-                bytes: flushed_blocks * self.opts.block_size as u64,
-            });
-        }
-        // Durable ordering: the SST is on storage, so first make the
-        // manifest point at it, then drop the WAL entries it replaces.
-        self.persist_manifest(inner)?;
-        // Crash here: manifest references the table, WAL not yet reset —
-        // replay re-applies records the table already holds, so recovery
-        // must be (and is) idempotent.
-        self.crash_check(CrashPoint::FlushAfterManifest)?;
-        // Sealed segments (recovered, or left by an aborted background
-        // flush) are covered by the manifest just committed.
-        let segments: Vec<SealedSegment> = inner.sealed.drain(..).collect();
-        self.delete_segments(segments)?;
-        if let Some(wal) = inner.wal.as_mut() {
-            let (appends, bytes) = (wal.segment_appends(), wal.segment_bytes());
-            let reset_syncs = if wal.reset_sync() { 2 } else { 0 };
-            wal.reset()?;
-            if reset_syncs > 0 {
-                self.note_wal_sync(reset_syncs);
-            }
-            let hooks = self.obs.read();
-            hooks.wal_appends.add(appends);
-            hooks.wal_bytes.add(bytes);
-            hooks.obs.emit(|| Event::WalReset { appends, bytes });
-        }
-        self.crash_check(CrashPoint::FlushAfterWalReset)?;
-        Ok(())
-    }
-
-    fn compact_due_locked(&self, inner: &mut Inner) -> Result<()> {
-        while let Some(task) = inner.version.pick_compaction(&self.opts) {
-            self.note_compaction_start(&task, &inner.version);
-            let mut alloc = || self.alloc_file();
-            let Some(event) = run_compaction(
-                &mut inner.version,
-                task,
-                &self.opts,
-                self.storage.as_ref(),
-                &mut alloc,
-            )?
-            else {
-                break;
-            };
-            self.note_compaction(&event);
-            self.finish_compaction(inner, &event)?;
-        }
-        Ok(())
     }
 
     /// Commits a finished compaction: manifest first, input deletion after,

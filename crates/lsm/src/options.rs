@@ -57,8 +57,9 @@ pub enum FsyncSite {
     /// Skip the per-batch WAL sync under [`SyncPolicy::Always`]: acks come
     /// out of an unsynced buffer again.
     WalAppend,
-    /// Skip the sync-before-truncate ordering in `WalWriter::reset`: a
-    /// crash can resurrect stale WAL records that shadow newer SSTs.
+    /// Skip the seal-time sync of the outgoing WAL segment: a crash can
+    /// tear the sealed segment, and its stale prefix, resurrected after
+    /// the flush deletes it, shadows newer records in the SST it became.
     WalReset,
     /// Skip the parent-directory fsync after the manifest renames: the
     /// committed manifest itself is not durable.
@@ -149,22 +150,15 @@ pub struct Options {
     /// Number of keyspace stripes for [`crate::striped::StripedDb`]: each
     /// stripe is an independent engine (own memtable, WAL segments, SST
     /// levels, manifest shard) selected by a hash of the key. `1` keeps
-    /// the classic single-engine layout. Also doubles as the file-id
-    /// allocation stride so stripes sharing one storage device never
-    /// collide.
+    /// the single-engine layout, whose writers run flushes and compactions
+    /// themselves; more stripes share a background worker pool. Also
+    /// doubles as the file-id allocation stride so stripes sharing one
+    /// storage device never collide.
     pub stripes: usize,
     /// Which stripe this engine instance is (`0..stripes`). Determines the
     /// file-id residue class this engine allocates from when several
     /// stripes share one storage device. Leave 0 for standalone trees.
     pub stripe_index: usize,
-    /// Move flush and compaction off the write path: a full memtable is
-    /// *sealed* (frozen + WAL segment rotated) and handed to a background
-    /// worker, and writers only stall when their own stripe's sealed
-    /// memtable is still in flight and the active one is over budget. Off
-    /// (the default) preserves the classic synchronous behavior that the
-    /// deterministic simulations and unit tests rely on; the serving
-    /// layer turns it on.
-    pub background_maintenance: bool,
 }
 
 impl Default for Options {
@@ -189,7 +183,6 @@ impl Default for Options {
             lock_wait_budget_ns: 1_000_000,
             stripes: 1,
             stripe_index: 0,
-            background_maintenance: false,
         }
     }
 }
@@ -220,7 +213,6 @@ impl Options {
             lock_wait_budget_ns: 1_000_000,
             stripes: 1,
             stripe_index: 0,
-            background_maintenance: false,
         }
     }
 
@@ -248,7 +240,6 @@ impl Options {
             lock_wait_budget_ns: 1_000_000,
             stripes: 1,
             stripe_index: 0,
-            background_maintenance: false,
         }
     }
 

@@ -6,13 +6,16 @@
 //! File ids never collide because each stripe allocates from its own
 //! residue class (`id % stripes == stripe_index`).
 //!
-//! With [`Options::background_maintenance`] on, a seal hands flush and
-//! compaction work to a small worker pool through a per-stripe queue: a
-//! foreground `put` on stripe B never waits on stripe A's flush, and a
-//! writer stalls only when its *own* stripe's sealed memtable is still in
-//! flight and the active one has blown its hard budget. Group commit lives
-//! one layer down in [`LsmTree`]: concurrent writers to the same stripe
-//! share a single WAL push + fsync per leader round.
+//! Every stripe runs the same maintenance path: a full memtable is sealed
+//! and [`LsmTree::maintain_once`] flushes it and runs the compactions that
+//! become due. With more than one stripe a seal hands that work to a small
+//! worker pool through a per-stripe queue: a foreground `put` on stripe B
+//! never waits on stripe A's flush, and a writer stalls only when its
+//! *own* stripe's sealed memtable is still in flight and the active one
+//! has blown its hard budget. A single stripe has no pool; its writer runs
+//! the round itself right after releasing the engine lock. Group commit
+//! lives one layer down in [`LsmTree`]: concurrent writers to the same
+//! stripe share a single WAL push + fsync per leader round.
 //!
 //! Cross-stripe scans merge per-stripe range reads under an optimistic
 //! write-epoch fence: writers bump the epoch before *and* after their
@@ -259,7 +262,7 @@ impl StripedDb {
             workers: Vec::new(),
             gauges,
         };
-        if db.opts.background_maintenance {
+        if n > 1 {
             db.spawn_pool();
         }
         Ok(db)
@@ -771,7 +774,6 @@ mod tests {
     fn background_pool_flushes_without_explicit_calls() {
         let mut opts = Options::small();
         opts.stripes = 2;
-        opts.background_maintenance = true;
         opts.memtable_size = 1 << 10;
         let db = StripedDb::new(opts, Arc::new(MemStorage::new())).unwrap();
         for i in 0..2000u32 {

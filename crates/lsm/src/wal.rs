@@ -2,11 +2,13 @@
 //!
 //! When the engine runs with durability enabled, every write is appended
 //! to the WAL before it touches the memtable (the paper's read path checks
-//! "the MemTable and any unflushed data in the Write-ahead Log"). The log
-//! is truncated after each memtable flush: at any instant it holds a
-//! superset of the memtable, so crash recovery is a simple in-order
-//! replay. Records carry a CRC-32 so a torn tail write is detected and
-//! recovery stops cleanly at the last complete record.
+//! "the MemTable and any unflushed data in the Write-ahead Log"). Each seal
+//! renames the log into a sealed segment and starts a fresh one; a segment
+//! is deleted once the flush of its memtable commits, so the live segments
+//! plus the log always hold a superset of the memtables and crash recovery
+//! is a simple in-order replay. Records carry a CRC-32 so a torn tail
+//! write is detected and recovery stops cleanly at the last complete
+//! record.
 //!
 //! Record layout: `len:u32 | crc32:u32 | payload[len]` where the payload is
 //! `kind:u8 | klen:u32 | key | (vlen:u32 | value)?` (value only for puts).
@@ -57,21 +59,15 @@ pub struct WalWriter {
     fs: Arc<dyn MetaFs>,
     /// Records encoded but not yet pushed to the filesystem.
     buf: Vec<u8>,
-    /// Bracket [`WalWriter::reset`] with file syncs so the truncation is
-    /// both ordered after the preceding appends and itself durable —
-    /// without this, a crash can resurrect stale records that shadow data
-    /// already flushed to an SSTable. Off under `SyncPolicy::Never` (and
-    /// under the `FsyncSite::WalReset` misplacement hook).
-    reset_sync: bool,
-    /// Records appended to the current segment (since the last reset).
+    /// Records appended to this segment.
     segment_appends: u64,
-    /// Bytes appended to the current segment (since the last reset).
+    /// Bytes appended to this segment.
     segment_bytes: u64,
 }
 
 impl WalWriter {
     /// Opens (appending) or creates the log at `path`.
-    pub fn open(fs: Arc<dyn MetaFs>, path: impl Into<PathBuf>, reset_sync: bool) -> Result<Self> {
+    pub fn open(fs: Arc<dyn MetaFs>, path: impl Into<PathBuf>) -> Result<Self> {
         let path = path.into();
         if !fs.exists(&path) {
             fs.write_file(&path, &[])?;
@@ -80,23 +76,17 @@ impl WalWriter {
             path,
             fs,
             buf: Vec::new(),
-            reset_sync,
             segment_appends: 0,
             segment_bytes: 0,
         })
     }
 
-    /// Whether [`WalWriter::reset`] brackets the truncation with file syncs.
-    pub fn reset_sync(&self) -> bool {
-        self.reset_sync
-    }
-
-    /// Records appended since the last [`WalWriter::reset`].
+    /// Records appended by this writer.
     pub fn segment_appends(&self) -> u64 {
         self.segment_appends
     }
 
-    /// Bytes appended since the last [`WalWriter::reset`].
+    /// Bytes appended by this writer.
     pub fn segment_bytes(&self) -> u64 {
         self.segment_bytes
     }
@@ -141,28 +131,6 @@ impl WalWriter {
     pub fn sync(&mut self) -> Result<()> {
         self.flush()?;
         self.fs.sync_file(&self.path)?;
-        Ok(())
-    }
-
-    /// Truncates the log (after the memtable it protected was flushed to
-    /// an SSTable).
-    ///
-    /// With `reset_sync` on, the truncation is bracketed by file syncs:
-    /// the first orders it after every preceding append, the second makes
-    /// the empty log durable. Skipping the bracket lets a crash keep the
-    /// pre-truncate records — they would replay on top of the SSTable that
-    /// already holds them, and a *stale* record can shadow newer data.
-    pub fn reset(&mut self) -> Result<()> {
-        self.flush()?;
-        if self.reset_sync {
-            self.fs.sync_file(&self.path)?;
-        }
-        self.fs.truncate(&self.path, 0)?;
-        if self.reset_sync {
-            self.fs.sync_file(&self.path)?;
-        }
-        self.segment_appends = 0;
-        self.segment_bytes = 0;
         Ok(())
     }
 
@@ -304,7 +272,7 @@ mod tests {
         let path = tmp("roundtrip");
         let _ = std::fs::remove_file(&path);
         {
-            let mut w = WalWriter::open(real(), &path, false).unwrap();
+            let mut w = WalWriter::open(real(), &path).unwrap();
             w.append(b"k1", &Entry::Put(Bytes::from_static(b"v1")))
                 .unwrap();
             w.append(b"k2", &Entry::Tombstone).unwrap();
@@ -331,30 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_truncates() {
-        let path = tmp("reset");
-        let _ = std::fs::remove_file(&path);
-        let mut w = WalWriter::open(real(), &path, false).unwrap();
-        w.append(b"k", &Entry::Put(Bytes::from_static(b"v")))
-            .unwrap();
-        w.reset().unwrap();
-        assert!(replay(&RealFs::new(), &path).unwrap().records.is_empty());
-        // Usable after reset.
-        w.append(b"k2", &Entry::Put(Bytes::from_static(b"v2")))
-            .unwrap();
-        w.flush().unwrap();
-        let records = replay(&RealFs::new(), &path).unwrap().records;
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].key.as_ref(), b"k2");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn torn_tail_is_truncated_and_replay_continues() {
         let path = tmp("torn");
         let _ = std::fs::remove_file(&path);
         {
-            let mut w = WalWriter::open(real(), &path, false).unwrap();
+            let mut w = WalWriter::open(real(), &path).unwrap();
             w.append(b"good", &Entry::Put(Bytes::from_static(b"v")))
                 .unwrap();
             w.flush().unwrap();
@@ -386,7 +335,7 @@ mod tests {
         let path = tmp("corrupt-tail");
         let _ = std::fs::remove_file(&path);
         {
-            let mut w = WalWriter::open(real(), &path, false).unwrap();
+            let mut w = WalWriter::open(real(), &path).unwrap();
             w.append(b"a", &Entry::Put(Bytes::from_static(b"1")))
                 .unwrap();
             w.append(b"b", &Entry::Put(Bytes::from_static(b"2")))
@@ -411,7 +360,7 @@ mod tests {
         let path = tmp("corrupt-mid");
         let _ = std::fs::remove_file(&path);
         {
-            let mut w = WalWriter::open(real(), &path, false).unwrap();
+            let mut w = WalWriter::open(real(), &path).unwrap();
             w.append(b"a", &Entry::Put(Bytes::from_static(b"1")))
                 .unwrap();
             w.append(b"b", &Entry::Put(Bytes::from_static(b"2")))
@@ -434,7 +383,7 @@ mod tests {
     fn synced_appends_survive_a_simulated_crash() {
         let fs = Arc::new(SimFs::new());
         let path = PathBuf::from("/sim/wal.log");
-        let mut w = WalWriter::open(fs.clone(), &path, true).unwrap();
+        let mut w = WalWriter::open(fs.clone(), &path).unwrap();
         fs.sync_dir(&path).unwrap(); // the creation itself must be durable
         w.append(b"k1", &Entry::Put(Bytes::from_static(b"v1")))
             .unwrap();
@@ -449,32 +398,5 @@ mod tests {
         assert!(!records.is_empty());
         assert_eq!(records[0].key.as_ref(), b"k1");
         assert!(records.len() <= 2);
-    }
-
-    #[test]
-    fn unsynced_reset_can_resurrect_stale_records() {
-        // With reset_sync off, the truncation sits in the write-back cache
-        // while the pre-reset records may already be durable: a crash
-        // undoes the truncate and the stale segment replays again. The
-        // sync-bracketed reset closes exactly this hole.
-        let run = |reset_sync: bool| -> bool {
-            let mut resurrected = false;
-            for seed in 0..16u64 {
-                let fs = Arc::new(SimFs::new());
-                let path = PathBuf::from("/sim/wal.log");
-                let mut w = WalWriter::open(fs.clone(), &path, reset_sync).unwrap();
-                fs.sync_dir(&path).unwrap();
-                w.append(b"stale", &Entry::Put(Bytes::from_static(b"old")))
-                    .unwrap();
-                w.sync().unwrap(); // the stale segment is durable
-                w.reset().unwrap(); // ... the memtable it covered flushed
-                fs.crash(seed);
-                let records = replay(fs.as_ref(), &path).unwrap().records;
-                resurrected |= records.iter().any(|r| r.key.as_ref() == b"stale");
-            }
-            resurrected
-        };
-        assert!(run(false), "the unsynced-reset hole must be reachable");
-        assert!(!run(true), "a sync-bracketed reset must never resurrect");
     }
 }

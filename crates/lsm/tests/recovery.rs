@@ -1,7 +1,8 @@
 //! Durability tests: WAL + manifest recovery across simulated restarts.
 
 use adcache_lsm::{
-    CrashController, CrashPoint, DirectProvider, FileStorage, LsmTree, Options, Storage,
+    CrashController, CrashPoint, DirectProvider, FileStorage, FsyncSite, LsmTree, MemStorage,
+    Options, SimFs, Storage, SyncPolicy,
 };
 use bytes::Bytes;
 use std::path::PathBuf;
@@ -225,4 +226,56 @@ fn recovery_preserves_level_structure() {
         .sum::<usize>();
     assert_eq!(storage.table_count(), live);
     cleanup("levels");
+}
+
+/// The directory fsync after the manifest rename is what makes a flush's
+/// manifest commit durable by the time `flush()` returns. With the
+/// `ManifestDir` hole planted, a crash reverts the namespace to the seal's
+/// directory sync: the committed manifest vanishes and the table it named
+/// is swept as an orphan. No acked write is lost either way — the sealed
+/// WAL segment's deletion reverts too and replays its records — which is
+/// why this check lives here and not in the end-to-end crash drill.
+#[test]
+fn manifest_commit_survives_a_crash_only_with_its_directory_fsync() {
+    let recovered_tables = |misplaced_fsync: Option<FsyncSite>| -> usize {
+        let opts = Options {
+            sync: SyncPolicy::Always,
+            misplaced_fsync,
+            ..Options::small()
+        };
+        let fs = Arc::new(SimFs::new());
+        let storage = Arc::new(MemStorage::new());
+        let dir = PathBuf::from("/manifest-dir");
+        {
+            let db = LsmTree::with_durability_fs(opts.clone(), storage.clone(), &dir, fs.clone())
+                .unwrap();
+            for i in 0..100 {
+                db.put(key(i), Bytes::from(format!("v{i}"))).unwrap();
+            }
+            db.flush().unwrap();
+            assert_eq!(db.num_runs(), 1, "the flush installed one table");
+        }
+        fs.crash(42);
+        let db = LsmTree::with_durability_fs(opts, storage, &dir, fs).unwrap();
+        let p = DirectProvider;
+        for i in 0..100 {
+            let want = format!("v{i}");
+            assert_eq!(
+                db.get(&key(i), &p).unwrap().as_deref(),
+                Some(want.as_bytes()),
+                "acked write {i} lost"
+            );
+        }
+        db.num_runs()
+    };
+    assert_eq!(
+        recovered_tables(None),
+        1,
+        "a synced manifest commit survives the crash"
+    );
+    assert_eq!(
+        recovered_tables(Some(FsyncSite::ManifestDir)),
+        0,
+        "without the directory fsync the manifest commit must revert"
+    );
 }

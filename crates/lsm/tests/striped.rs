@@ -48,7 +48,6 @@ fn striped_opts(stripes: usize) -> Options {
     tiny.memtable_size = 2048;
     tiny.sstable_size = 2048;
     tiny.stripes = stripes;
-    tiny.background_maintenance = true;
     tiny
 }
 
@@ -56,8 +55,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// The striped router must behave exactly like a `BTreeMap` for any
-    /// op sequence. Background maintenance is ON, so flushes run on pool
-    /// workers concurrently with the scans below — every cross-stripe scan
+    /// op sequence. With two or more stripes flushes run on pool workers
+    /// concurrently with the scans below — every cross-stripe scan
     /// exercises the sequence fence against in-flight memtable seals.
     #[test]
     fn striped_db_matches_model_with_background_flushes(
@@ -105,11 +104,10 @@ proptest! {
         prop_assert_eq!(got, want, "final full scan");
     }
 
-    /// Recovery of a striped layout: run with background maintenance on,
-    /// crash (drop joins the pool, taking down in-flight flushes at
-    /// arbitrary progress), reopen, and require exactly the model state —
-    /// every write is in some stripe's SSTs, sealed WAL segments, or
-    /// active WAL.
+    /// Recovery of a striped layout: run with the worker pool on, crash
+    /// (drop joins the pool, taking down in-flight flushes at arbitrary
+    /// progress), reopen, and require exactly the model state — every
+    /// write is in some stripe's SSTs, sealed WAL segments, or active WAL.
     #[test]
     fn striped_recovery_equals_model_at_any_crash_point(
         ops in proptest::collection::vec(op_strategy(), 1..200),
@@ -149,9 +147,7 @@ proptest! {
         }
 
         let storage = Arc::new(FileStorage::open(&sst_dir).unwrap());
-        let mut verify = opts;
-        verify.background_maintenance = false;
-        let db = StripedDb::with_durability(verify, storage, &meta_dir).unwrap();
+        let db = StripedDb::with_durability(opts, storage, &meta_dir).unwrap();
         let p = DirectProvider;
         for k in 0..512u16 {
             let got = db.get(&key(k), &p).unwrap();
@@ -301,10 +297,11 @@ fn foreground_put_is_bounded_while_another_stripes_flush_is_slow() {
 }
 
 /// A [`MetaFs`] decorator that sleeps inside `remove`. WAL segment
-/// deletion runs in `flush()`'s imm drain *after* the engine write lock is
-/// released, so the sleep stretches the seal-vs-explicit-flush race window
-/// from nanoseconds to milliseconds — wide enough for writers to seal a
-/// fresh imm (and land more batches) before `flush()` reacquires the lock.
+/// deletion runs at the end of each imm flush *after* the engine write
+/// lock is released, so the sleep stretches the seal-vs-explicit-flush
+/// race window from nanoseconds to milliseconds — wide enough for writers
+/// to seal a fresh imm (and land more batches) before `flush()` reacquires
+/// the lock.
 struct SlowRemoveFs {
     inner: SimFs,
     delay: Duration,
@@ -358,9 +355,11 @@ impl MetaFs for SlowRemoveFs {
 /// without flushing its records — lost acked writes on crash — and
 /// (b) give the older imm records a higher file id, L0-newest rank, so
 /// they shadow newer values even without a crash. This drives that
-/// window: [`SlowRemoveFs`] holds `flush()` in its post-lock segment
-/// deletion while writers seal over a hot key set; afterwards every key
-/// must read back the last value its writer acked.
+/// window on one stripe, where there is no pool and the writers run
+/// their own maintenance rounds against `flush()`: [`SlowRemoveFs`]
+/// holds each round in its post-lock segment deletion while writers seal
+/// over a hot key set; afterwards every key must read back the last value
+/// its writer acked.
 #[test]
 fn explicit_flush_racing_seals_never_reorders_writes() {
     let mut opts = striped_opts(1);
@@ -432,7 +431,7 @@ fn explicit_flush_racing_seals_never_reorders_writes() {
 fn background_worker_backs_off_on_persistent_flush_errors() {
     use adcache_lsm::{FaultPlan, FaultStorage};
 
-    let mut opts = striped_opts(1);
+    let mut opts = striped_opts(2);
     opts.memtable_size = 512;
     let storage = Arc::new(FaultStorage::new(
         Arc::new(MemStorage::new()),
@@ -444,14 +443,17 @@ fn background_worker_backs_off_on_persistent_flush_errors() {
     ));
     let db = StripedDb::new(opts, storage.clone()).unwrap();
 
-    // Fill past the memtable budget so a seal hands the (always-failing)
-    // flush to the pool.
-    for i in 0..16u32 {
-        db.put(
-            Bytes::from(format!("bo{i:03}")),
-            Bytes::from(vec![b'x'; 64]),
-        )
-        .unwrap();
+    // Fill one stripe past its memtable budget so a seal hands the
+    // (always-failing) flush to the pool; the other stripe stays idle, so
+    // every write failure below is a retry of that one flush.
+    let keys: Vec<Bytes> = (0..256u32)
+        .map(|i| Bytes::from(format!("bo{i:03}")))
+        .filter(|k| db.stripe_for(k) == 0)
+        .take(16)
+        .collect();
+    assert_eq!(keys.len(), 16, "routing is lopsided");
+    for k in &keys {
+        db.put(k.clone(), Bytes::from(vec![b'x'; 64])).unwrap();
     }
     let deadline = Instant::now() + Duration::from_secs(5);
     while db.stats_sum(|s| s.seals()) == 0 {
@@ -474,11 +476,9 @@ fn background_worker_backs_off_on_persistent_flush_errors() {
     storage.set_active(false);
     db.flush().unwrap();
     let p = DirectProvider;
-    for i in 0..16u32 {
+    for k in &keys {
         assert!(
-            db.get(format!("bo{i:03}").as_bytes(), &p)
-                .unwrap()
-                .is_some(),
+            db.get(k, &p).unwrap().is_some(),
             "write lost after device recovery"
         );
     }

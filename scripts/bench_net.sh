@@ -4,7 +4,7 @@
 # connections (release build, in-memory store, mixed zipfian workload).
 # The serve default is the striped engine (16 stripes, background
 # flush/compaction, WAL group commit); each point also runs once with
-# `--stripes 1` (the legacy inline engine) for comparison.
+# `--stripes 1` (one stripe, no worker pool) for comparison.
 #
 # Each point is measured twice: once with `--no-telemetry` (the raw
 # serving path) and once with the default telemetry plane on (stage
@@ -95,7 +95,7 @@ for conns in 1 8 32 128; do
     run_point "$conns" "$off_log" --no-telemetry
     qps_off=$(grep -oE 'throughput [0-9.]+' "$off_log" | awk '{print $2}')
 
-    echo "=== $conns connection(s), stripes off (legacy inline engine) ==="
+    echo "=== $conns connection(s), stripes off (one stripe, no worker pool) ==="
     legacy_log="/tmp/bench_net_${conns}_legacy.log"
     run_point "$conns" "$legacy_log" --stripes 1
     qps_legacy=$(grep -oE 'throughput [0-9.]+' "$legacy_log" | awk '{print $2}')
